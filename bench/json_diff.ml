@@ -15,10 +15,10 @@ module J = Gmp_base.Json
    the job count and the snapshot-engine switch, which differ between the
    two compared runs by design. *)
 let ignored =
-  [ "wall_s"; "checker_s"; "cells_wall_s"; "pool_wall_s"; "parallel_speedup";
-    "speedup_vs_pr1"; "indexed_s"; "seed_s"; "reference_s"; "speedup_vs_seed";
-    "speedup_vs_reference"; "executions_per_s"; "distinct_per_s";
-    "speedup_vs_replay"; "jobs"; "snapshots" ]
+  [ "wall_s"; "ns_per_event"; "checker_s"; "cells_wall_s"; "pool_wall_s";
+    "parallel_speedup"; "speedup_vs_pr1"; "indexed_s"; "seed_s"; "reference_s";
+    "speedup_vs_seed"; "speedup_vs_reference"; "executions_per_s";
+    "distinct_per_s"; "speedup_vs_replay"; "jobs"; "snapshots" ]
 
 let rec strip (j : J.t) : J.t =
   match j with

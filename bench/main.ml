@@ -509,9 +509,10 @@ let scale_run ~name ~n scenario =
   let messages_sent = total_sent (Group.stats group) in
   let trace_events = Trace.length trace in
   let words_per_event = minor_words /. float_of_int (max 1 events_fired) in
+  let ns_per_event = wall /. float_of_int (max 1 events_fired) *. 1e9 in
   let row =
-    Fmt.str "%-14s %-6d %9.2fs %10d %10d %10d %9d %9.0f %10.4fs %s" name n
-      wall events_fired
+    Fmt.str "%-14s %-6d %9.2fs %10d %8.0f %10d %10d %9d %9.0f %10.4fs %s" name
+      n wall events_fired ns_per_event
       (Gmp_sim.Engine.peak_queue_length engine)
       messages_sent trace_events words_per_event checker_s
       (if violations = [] then "OK"
@@ -535,6 +536,7 @@ let scale_run ~name ~n scenario =
          ("n", J.int n);
          ("wall_s", J.float wall);
          ("events_fired", J.int events_fired);
+         ("ns_per_event", J.float ns_per_event);
          ("peak_heap_entries", J.int (Gmp_sim.Engine.peak_queue_length engine));
          ("final_heap_entries", J.int (Gmp_sim.Engine.queue_length engine));
          ("live_timers", J.int (Gmp_sim.Engine.pending_events engine));
@@ -751,8 +753,8 @@ let scale ~quick ~jobs () =
         churn_sizes
   in
   pr "%d cells on %d worker domain(s)@." (List.length cells) jobs;
-  pr "%-14s %-6s %10s %10s %10s %10s %9s %9s %11s@." "scenario" "n" "wall"
-    "events" "peak-heap" "messages" "trace" "words/ev" "checker";
+  pr "%-14s %-6s %10s %10s %8s %10s %10s %9s %9s %11s@." "scenario" "n" "wall"
+    "events" "ns/ev" "peak-heap" "messages" "trace" "words/ev" "checker";
   let runs, pool_wall = run_cells ~jobs cells in
   List.iter (fun c -> pr "%s@." c.c_row) runs;
   let cells_wall = List.fold_left (fun acc c -> acc +. c.c_wall) 0.0 runs in
@@ -782,11 +784,14 @@ let scale ~quick ~jobs () =
               pr1_wall));
         ("checker_speedup_n32_churn", speedup) ]
   in
-  let oc = open_out "BENCH_scale.json" in
+  (* A quick run writes its own, uncommitted file, so it can never overwrite
+     the committed full-run trajectory. *)
+  let file = if quick then "BENCH_scale.quick.json" else "BENCH_scale.json" in
+  let oc = open_out file in
   output_string oc (J.to_string doc);
   output_char oc '\n';
   close_out oc;
-  pr "wrote BENCH_scale.json@.";
+  pr "wrote %s@." file;
   List.concat_map (fun c -> c.c_fails) runs @ explorer_fails
 
 (* ---------------------------------------------------------------- *)

@@ -74,6 +74,34 @@ let vc_merge_tick =
   Test.make ~name:"vc.merge_tick (n=128)"
     (Staged.stage (fun () -> local := Vc.merge_tick !local sender p1))
 
+(* The heartbeat detector at n=128, driven as Member drives it: [peers]
+   returns the same memoized list on every call. A beat is one table lookup
+   and an epoch compare; a tick (fired through the captured timer closure)
+   prunes and checks all 127 peers. The clock never advances, so no
+   suspicion fires and every tick takes the steady-state path. *)
+let heartbeat_tests =
+  let module Hb = Gmp_detector.Heartbeat in
+  let peers = List.tl (Pid.group 128) in
+  let arr = Array.of_list peers in
+  let next_tick = ref ignore in
+  let set_timer ~delay:_ f =
+    next_tick := f;
+    { Gmp_platform.Platform.cancel = ignore }
+  in
+  let d =
+    Hb.create ~now:(fun () -> 0.0) ~set_timer ~interval:1.0 ~timeout:3.0
+      ~send_beats:ignore ~peers:(fun () -> peers) ~suspect:ignore ()
+  in
+  Hb.start d;
+  !next_tick ();
+  let i = ref 0 in
+  [ Test.make ~name:"heartbeat.beat_received (n=128)"
+      (Staged.stage (fun () ->
+           i := (!i + 1) mod 127;
+           Hb.beat_received d ~from:arr.(!i)));
+    Test.make ~name:"heartbeat.tick (n=128)"
+      (Staged.stage (fun () -> !next_tick ())) ]
+
 (* The parallel explorer's shared fingerprint store: one exhaustion-commit
    plus one prune probe per op, over a pre-populated table, keys drawn from
    the same splitmix-style mixing the explorer uses. Single-domain numbers;
@@ -122,6 +150,7 @@ let tests =
        network_send;
        vc_merge_tick;
        fp_table_ops ]
+     @ heartbeat_tests
      @ snapshot_tests 3 @ snapshot_tests 32)
 
 (* bechamel's built-in minor_allocated reads [Gc.quick_stat], whose

@@ -95,25 +95,6 @@ let transport_conv =
 
 (* ---- infrastructure ---- *)
 
-(* Bind-and-release on the socket type the transport will use, so the
-   port is known free for that type at spawn time. *)
-let alloc_port transport =
-  let sock_type =
-    match transport with
-    | Gmp_live.Transport.Udp -> Unix.SOCK_DGRAM
-    | Gmp_live.Transport.Tcp -> Unix.SOCK_STREAM
-  in
-  let s = Unix.socket Unix.PF_INET sock_type 0 in
-  Unix.setsockopt s Unix.SO_REUSEADDR true;
-  Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  let port =
-    match Unix.getsockname s with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
-  in
-  Unix.close s;
-  port
-
 let default_node_bin () =
   (* gmp-node is built alongside this binary; prefer the sibling, fall back
      to PATH. *)
@@ -259,7 +240,10 @@ let run_cluster n joiners run_for kills joins blackholes unblackholes netems
       d
   in
   let node_bin = match node_bin with Some b -> b | None -> default_node_bin () in
-  let ports = List.map (fun p -> (p, alloc_port transport)) all_pids in
+  let ports =
+    List.combine all_pids
+      (Gmp_live.Transport.reserve_ports transport (List.length all_pids))
+  in
   let ctrl = Gmp_live.Ctrl.create ~transport () in
   let kill_times = ref [] in
   let harness_errors = ref [] in

@@ -8,18 +8,21 @@
    under long delays - exactly the "perceived failures" the protocol is
    designed to tolerate.
 
-   The detector is platform-agnostic: it reads time through [now] and
-   schedules its tick through [set_timer] (both normally the owning node's
-   {!Gmp_platform.Platform.node} operations), so the same code drives F1 in
-   the simulator and on wall clocks.
-
-   [last_heard] tracks only current peers: beats from processes outside
-   [peers ()] are dropped (a late beat from a suspected-and-forgotten peer
-   must not resurrect its slot), and each tick prunes entries for peers that
-   departed via a view change without an explicit [forget]. Without both,
-   the table grows without bound under churn. *)
+   All per-peer state is one table of slots, each stamped with the epoch of
+   the last peer list that contained its pid. The epoch advances only when
+   [peers ()] returns a list that is not physically the one last synced, so
+   "is [from] a current peer?" is one lookup and one compare. Beats from
+   non-peers are dropped (a late beat from a suspected-and-forgotten peer
+   must not resurrect its slot), and each tick prunes stale-epoch slots, so
+   the table stays bounded by the peer set under churn. *)
 
 open Gmp_base
+
+(* [heard.at]: the last beat, or the first check (which starts a new peer's
+   grace); nan until either happens, and the slot counts as untracked. A
+   float-only record stores it unboxed, so a beat writes no pointer. *)
+type stamp = { mutable at : float }
+type slot = { heard : stamp; mutable fired : bool; mutable epoch : int }
 
 type t = {
   now : unit -> float;
@@ -33,77 +36,75 @@ type t = {
          there are *)
   peers : unit -> Pid.t list;
   suspect : Pid.t -> unit;
-  last_heard : float Pid.Tbl.t; (* peer -> time of last beat (or enrolment) *)
+  slots : slot Pid.Tbl.t;
+  mutable synced : Pid.t list; (* the peers list [epoch] was stamped from *)
+  mutable epoch : int;
   mutable running : bool;
   mutable pending : Gmp_platform.Platform.timer option;
       (* the scheduled next tick, so [stop] can cancel it instead of leaving
          the closure live in the heap until its fire time *)
-  mutable suspects_fired : Pid.Set.t;
 }
 
 let create ~now ~set_timer ~interval ~timeout ~send_beats ~peers ~suspect () =
   if interval <= 0.0 then invalid_arg "Heartbeat.create: bad interval";
   if timeout <= interval then
     invalid_arg "Heartbeat.create: timeout must exceed interval";
-  { now;
-    set_timer;
-    interval;
-    timeout;
-    send_beats;
-    peers;
-    suspect;
-    last_heard = Pid.Tbl.create 16;
-    running = false;
-    pending = None;
-    suspects_fired = Pid.Set.empty }
+  { now; set_timer; interval; timeout; send_beats; peers; suspect;
+    slots = Pid.Tbl.create 16; synced = []; epoch = 0;
+    running = false; pending = None }
 
-let is_peer t pid = List.exists (Pid.equal pid) (t.peers ())
+(* Stamp every current peer with a fresh epoch, creating untracked slots for
+   newcomers; departed peers keep their old epoch until the next prune. *)
+let sync t =
+  let peers = t.peers () in
+  if peers != t.synced then begin
+    t.synced <- peers;
+    t.epoch <- t.epoch + 1;
+    List.iter
+      (fun pid ->
+        match Pid.Tbl.find t.slots pid with
+        | s -> s.epoch <- t.epoch
+        | exception Not_found ->
+          Pid.Tbl.add t.slots pid
+            { heard = { at = Float.nan }; fired = false; epoch = t.epoch })
+      peers
+  end;
+  peers
 
 let beat_received t ~from =
-  (* Only current peers are tracked: a beat from a departed or never-known
-     process (late in flight when the sender was excluded) is ignored. *)
-  if is_peer t from then Pid.Tbl.replace t.last_heard from (t.now ())
+  ignore (sync t : Pid.t list);
+  match Pid.Tbl.find t.slots from with
+  | (s : slot) when s.epoch = t.epoch -> s.heard.at <- t.now ()
+  | _ | (exception Not_found) -> ()
 
 let forget t pid =
-  Pid.Tbl.remove t.last_heard pid;
-  t.suspects_fired <- Pid.Set.remove pid t.suspects_fired
+  match Pid.Tbl.find t.slots pid with
+  | s -> s.heard.at <- Float.nan; s.fired <- false
+  | exception Not_found -> ()
 
-(* Drop state for processes that are no longer peers (departed via a view
+(* Drop slots of processes that are no longer peers (departed via a view
    change that never called [forget]). Keys are collected before removal -
    mutating a table during fold is undefined. *)
-let prune t peers =
-  let stale =
-    Pid.Tbl.fold
-      (fun pid _ acc ->
-        if List.exists (Pid.equal pid) peers then acc else pid :: acc)
-      t.last_heard []
-  in
-  List.iter (fun pid -> forget t pid) stale;
-  t.suspects_fired <-
-    Pid.Set.filter (fun pid -> List.exists (Pid.equal pid) peers)
-      t.suspects_fired
+let prune t =
+  Pid.Tbl.fold
+    (fun pid (s : slot) acc -> if s.epoch = t.epoch then acc else pid :: acc)
+    t.slots []
+  |> List.iter (Pid.Tbl.remove t.slots)
 
+(* [pid] has a slot: [sync] made it, and [prune], which ran first, keeps it. *)
 let check_peer t now pid =
-  let deadline_start =
-    match Pid.Tbl.find_opt t.last_heard pid with
-    | Some heard -> heard
-    | None ->
-      (* First sighting: grant a full timeout's grace. *)
-      Pid.Tbl.replace t.last_heard pid now;
-      now
-  in
-  if now -. deadline_start > t.timeout
-     && not (Pid.Set.mem pid t.suspects_fired)
-  then begin
-    t.suspects_fired <- Pid.Set.add pid t.suspects_fired;
+  let s = Pid.Tbl.find t.slots pid in
+  if Float.is_nan s.heard.at then s.heard.at <- now
+  else if now -. s.heard.at > t.timeout && not s.fired then begin
+    s.fired <- true;
     t.suspect pid
   end
 
 let tick t =
   if t.running then begin
     let now = t.now () in
-    let peers = t.peers () in
-    prune t peers;
+    let peers = sync t in
+    prune t;
     if peers <> [] then t.send_beats peers;
     List.iter (check_peer t now) peers
   end
@@ -133,32 +134,29 @@ let stop t =
 
 let is_running t = t.running
 
-let tracked t = Pid.Tbl.length t.last_heard
+let tracked t =
+  Pid.Tbl.fold
+    (fun _ s n -> if Float.is_nan s.heard.at then n else n + 1) t.slots 0
 
-(* Checkpoints capture the mutable detector state. [pending] is saved by
-   reference: the timer wrapper closes over the engine handle that was
-   scheduled at capture time, and the engine's own restore resurrects that
-   handle in place, so the saved wrapper cancels the right event after a
-   restore. Table iteration order is not observable (prune/forget compute
-   order-independent final states), so rebuild order does not matter. *)
+(* Checkpoints copy the mutable slots both ways. [pending] is saved by
+   reference: the timer wrapper closes over the engine handle scheduled at
+   capture time, and the engine's own restore resurrects that handle in
+   place, so the saved wrapper cancels the right event after a restore. *)
 type checkpoint = {
-  cp_last_heard : (Pid.t * float) list;
-  cp_running : bool;
-  cp_pending : Gmp_platform.Platform.timer option;
-  cp_suspects : Pid.Set.t;
-}
+  cp_slots : (Pid.t * slot) list; cp_synced : Pid.t list; cp_epoch : int;
+  cp_running : bool; cp_pending : Gmp_platform.Platform.timer option }
+
+let copy s = { s with heard = { at = s.heard.at } }
 
 let checkpoint t =
-  { cp_last_heard =
-      Pid.Tbl.fold (fun pid at acc -> (pid, at) :: acc) t.last_heard [];
-    cp_running = t.running;
-    cp_pending = t.pending;
-    cp_suspects = t.suspects_fired }
+  { cp_slots = Pid.Tbl.fold (fun pid s acc -> (pid, copy s) :: acc) t.slots [];
+    cp_synced = t.synced; cp_epoch = t.epoch;
+    cp_running = t.running; cp_pending = t.pending }
 
 let restore t cp =
-  Pid.Tbl.reset t.last_heard;
-  List.iter (fun (pid, at) -> Pid.Tbl.replace t.last_heard pid at)
-    cp.cp_last_heard;
+  Pid.Tbl.reset t.slots;
+  List.iter (fun (pid, s) -> Pid.Tbl.add t.slots pid (copy s)) cp.cp_slots;
+  t.synced <- cp.cp_synced;
+  t.epoch <- cp.cp_epoch;
   t.running <- cp.cp_running;
-  t.pending <- cp.cp_pending;
-  t.suspects_fired <- cp.cp_suspects
+  t.pending <- cp.cp_pending

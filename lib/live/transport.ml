@@ -67,6 +67,27 @@ let kind_of_string = function
   | "tcp" -> Some Tcp
   | _ -> None
 
+(* ---- port reservation ---- *)
+
+(* Every socket stays bound until the whole batch is drawn, and none sets
+   SO_REUSEADDR: the kernel then cannot hand out a port twice in one batch,
+   nor one that a running node (which binds with SO_REUSEADDR) holds. *)
+let reserve_ports kind n =
+  let sock_type =
+    match kind with Udp -> Unix.SOCK_DGRAM | Tcp -> Unix.SOCK_STREAM
+  in
+  let socks = ref [] in
+  Fun.protect
+    ~finally:(fun () -> List.iter Unix.close !socks)
+    (fun () ->
+      List.init n (fun _ ->
+          let s = Unix.socket Unix.PF_INET sock_type 0 in
+          socks := s :: !socks;
+          Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+          match Unix.getsockname s with
+          | Unix.ADDR_INET (_, port) -> port
+          | _ -> assert false))
+
 (* ---- name resolution ---- *)
 
 let resolve ep =

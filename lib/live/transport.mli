@@ -74,6 +74,12 @@ type tcp_config = {
 
 val default_tcp : tcp_config
 
+val reserve_ports : kind -> int -> int list
+(** [reserve_ports kind n] draws [n] distinct free loopback ports for
+    [kind]'s socket type: all [n] sockets are bound at once, then all are
+    released, so the batch never repeats a port. A port is free when drawn;
+    bind it (with [SO_REUSEADDR], as {!make} does) soon after. *)
+
 val resolve : Endpoint.t -> Unix.sockaddr
 (** Name resolution at the transport edge: IPv4 literal or getaddrinfo.
     Raises [Failure] on an unresolvable host. *)

@@ -332,6 +332,19 @@ let test_tcp_half_open_detection () =
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !accepted;
   Unix.close listener
 
+(* ---- port reservation ---- *)
+
+let test_reserve_ports_distinct () =
+  List.iter
+    (fun kind ->
+      let ports = Transport.reserve_ports kind 64 in
+      let name = Transport.kind_name kind in
+      check int (name ^ ": 64 ports") 64 (List.length ports);
+      check int (name ^ ": no duplicates") 64
+        (List.length (List.sort_uniq Int.compare ports));
+      check bool (name ^ ": real ports") true (List.for_all (fun p -> p > 0) ports))
+    [ Transport.Udp; Transport.Tcp ]
+
 let suite =
   [ Alcotest.test_case "endpoint: parse & print" `Quick test_endpoint_parse;
     Alcotest.test_case "endpoint: make validates" `Quick
@@ -339,6 +352,8 @@ let suite =
     Alcotest.test_case "spec: peers" `Quick test_spec_peers;
     Alcotest.test_case "spec: netem timeline validates at parse time" `Quick
       test_spec_netem_action;
+    Alcotest.test_case "ports: one batch of 64 has no duplicates" `Quick
+      test_reserve_ports_distinct;
     Alcotest.test_case "udp: wire bytes identical to codec frames" `Quick
       test_udp_wire_byte_identity;
     Alcotest.test_case "tcp: FIFO exactly-once over streams" `Slow
