@@ -475,7 +475,7 @@ let total_sent stats =
   List.fold_left
     (fun acc (_, sent, _, _) -> acc + sent)
     0
-    (Gmp_net.Stats.snapshot stats)
+    (Gmp_platform.Stats.snapshot stats)
 
 (* Wall times of the committed PR 1 BENCH_scale.json, embedded so the file
    this run emits carries its own before/after trajectory. *)

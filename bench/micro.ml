@@ -3,7 +3,8 @@
    Reports both wall-clock (ns/op) and minor-heap allocation (words/op) for
    the operations the per-message path is built from: event-queue add/pop,
    schedule+cancel through the engine (tombstone + compaction path), a full
-   Network.send plus its delivery, and the vector-clock receive rule — plus
+   Network.send plus its delivery, the vector-clock receive rule, and the
+   live channel's per-frame ARQ and timer costs — plus
    the explorer's per-backtrack costs: whole-world checkpoint capture and
    restore at two group sizes.
 
@@ -56,7 +57,7 @@ let network_send =
   let delay = Gmp_net.Delay.constant 1.0 in
   let net = Gmp_net.Network.create ~engine ~rng ~delay () in
   Gmp_net.Network.set_handler net (fun ~dst:_ ~src:_ _ -> ());
-  let cat = Gmp_net.Stats.intern "bench" in
+  let cat = Gmp_platform.Stats.intern "bench" in
   Test.make ~name:"network.send+deliver"
     (Staged.stage (fun () ->
          Gmp_net.Network.send net ~src:p0 ~dst:p1 ~category:cat ();
@@ -101,6 +102,40 @@ let heartbeat_tests =
            Hb.beat_received d ~from:arr.(!i)));
     Test.make ~name:"heartbeat.tick (n=128)"
       (Staged.stage (fun () -> !next_tick ())) ]
+
+(* The reliable channel's per-frame cost at the live node's unbounded
+   window: number and send one frame, then retire it with its cumulative
+   ack (which takes the Karn rtt sample). The core touches no clock, timer
+   or socket, so this is the protocol's share alone. *)
+let gbn_send_ack =
+  let module Gbn = Gmp_net.Gbn in
+  let gbn =
+    Gbn.create ~registry:(Gmp_obs.Obs.create ()) ~window:max_int ~rto:0.25
+      ~rto_max:4.0 ()
+  in
+  let s = Gbn.sender gbn ~emit:ignore in
+  let frame_of _ = "frame" in
+  let acked = ref 0 in
+  Test.make ~name:"gbn.send+ack (window max_int)"
+    (Staged.stage (fun () ->
+         Gbn.send s ~now:0.0 frame_of;
+         incr acked;
+         Gbn.on_ack s ~now:0.0 !acked))
+
+(* One live timer scheduled and fired beside 64 pending ones: what the
+   poll loop pays per retransmit re-arm or delayed netem copy. *)
+let timers_schedule_fire =
+  let module T = Gmp_live.Timers in
+  let t = T.create () in
+  for i = 1 to 64 do
+    ignore (T.schedule t ~at:(1e9 +. float_of_int i) ignore : T.entry)
+  done;
+  let clock = ref 0.0 in
+  Test.make ~name:"timers.schedule+fire_due"
+    (Staged.stage (fun () ->
+         clock := !clock +. 1.0;
+         ignore (T.schedule t ~at:!clock ignore : T.entry);
+         T.fire_due t ~now:!clock))
 
 (* The parallel explorer's shared fingerprint store: one exhaustion-commit
    plus one prune probe per op, over a pre-populated table, keys drawn from
@@ -149,6 +184,8 @@ let tests =
        engine_schedule_cancel;
        network_send;
        vc_merge_tick;
+       gbn_send_ack;
+       timers_schedule_fire;
        fp_table_ops ]
      @ heartbeat_tests
      @ snapshot_tests 3 @ snapshot_tests 32)

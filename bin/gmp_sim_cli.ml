@@ -111,7 +111,8 @@ let report_text ?(timeline = false) group ~show_trace =
      Fmt.pr "agreed view: v%d {%s}@." ver
        (String.concat "," (List.map Pid.to_string members))
    | None -> Fmt.pr "agreed view: NONE@.");
-  Fmt.pr "--- message statistics ---@.%a@." Gmp_net.Stats.pp (Group.stats group);
+  Fmt.pr "--- message statistics ---@.%a@." Gmp_platform.Stats.pp
+    (Group.stats group);
   Fmt.pr "protocol messages (s7.2 accounting): %d@."
     (Group.protocol_messages group);
   let violations = Group.check group in

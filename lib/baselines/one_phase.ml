@@ -16,7 +16,7 @@ module View = Gmp_core.View
 
 type msg = Removal of Pid.t (* the coordinator's one-phase commit *)
 
-let cat_commit = Gmp_net.Stats.intern "commit"
+let cat_commit = Gmp_platform.Stats.intern "commit"
 
 type node = {
   handle : msg Runtime.node;

@@ -17,7 +17,7 @@ module View = Gmp_core.View
 
 type msg = Suspect of Pid.t
 
-let cat_suspect = Gmp_net.Stats.intern "suspect"
+let cat_suspect = Gmp_platform.Stats.intern "suspect"
 
 type node = {
   handle : msg Runtime.node;
@@ -146,4 +146,4 @@ let views t =
       else None)
     (Pid.Map.bindings t.nodes)
 
-let messages t = Gmp_net.Stats.sent (stats t) ~category:"suspect"
+let messages t = Gmp_platform.Stats.sent (stats t) ~category:"suspect"

@@ -11,7 +11,7 @@ type t
 
 val create : ?delay:Gmp_net.Delay.t -> ?seed:int -> n:int -> unit -> t
 val trace : t -> Gmp_core.Trace.t
-val stats : t -> Gmp_net.Stats.t
+val stats : t -> Gmp_platform.Stats.t
 
 val crash_at : t -> float -> Pid.t -> unit
 val suspect_at : t -> float -> observer:Pid.t -> target:Pid.t -> unit

@@ -23,12 +23,12 @@ module View = Gmp_core.View
 type reply = { r_ver : int; r_seq : Types.seq; r_next : Types.expectation list }
 
 (* Interned send categories (the Stats hot path takes dense ids). *)
-let cat_invite = Gmp_net.Stats.intern "invite"
-let cat_invite_ok = Gmp_net.Stats.intern "invite-ok"
-let cat_commit = Gmp_net.Stats.intern "commit"
-let cat_interrogate = Gmp_net.Stats.intern "interrogate"
-let cat_interrogate_ok = Gmp_net.Stats.intern "interrogate-ok"
-let cat_reconf_commit = Gmp_net.Stats.intern "reconf-commit"
+let cat_invite = Gmp_platform.Stats.intern "invite"
+let cat_invite_ok = Gmp_platform.Stats.intern "invite-ok"
+let cat_commit = Gmp_platform.Stats.intern "commit"
+let cat_interrogate = Gmp_platform.Stats.intern "interrogate"
+let cat_interrogate_ok = Gmp_platform.Stats.intern "interrogate-ok"
+let cat_reconf_commit = Gmp_platform.Stats.intern "reconf-commit"
 
 type msg =
   | Invite of { op : Types.op; invite_ver : int }

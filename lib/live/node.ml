@@ -9,21 +9,15 @@
 
    Between nodes runs a go-back-N ARQ per ordered process pair (the
    paper's footnote 2 channel: sequence numbers plus acknowledgements over
-   a lossy medium). The ARQ lives above the transport seam on purpose:
-   even TCP is only best-effort here (connections die, half-open streams
-   are killed, stalled outboxes drop frames), so retransmission remains
-   the sole owner of reliability on either wire and the protocol's
-   behavior does not depend on which transport carries it:
-
-     - sender: frames get consecutive [chan_seq] numbers and wait in an
-       unacked queue; a per-destination timer retransmits the whole window
-       on a timeout that backs off exponentially (doubling per silent
-       round, capped at [rto_max], reset to [rto] on ack progress), so
-       sustained loss degrades into paced recovery instead of an
-       rto-periodic retransmit storm;
-     - receiver: delivers exactly the next expected sequence number (FIFO,
-       exactly-once), acks cumulatively on every data frame, drops
-       out-of-order frames (go-back-N keeps no reorder buffer).
+   a lossy medium). The protocol is [Gmp_net.Gbn], the state machine the
+   simulator's [Arq] runs at window 1; here its window and sequence
+   numbers are unbounded, and the node only carries its encoded frames
+   and keeps one timer per destination on its deadline. The ARQ lives
+   above the transport seam on purpose: even TCP is only best-effort here
+   (connections die, half-open streams are killed, stalled outboxes drop
+   frames), so retransmission remains the sole owner of reliability on
+   either wire and the protocol's behavior does not depend on which
+   transport carries it.
 
    Fault injection is receiver-side, at message ingress - after the
    transport has reassembled a complete frame, before the protocol sees
@@ -33,7 +27,7 @@
    resurrects it, exactly as over UDP. An arriving frame is decoded, then
    its fate is drawn from the link's model (keyed by the sending pid;
    control frames use a dedicated stream) and the surviving copies are
-   re-injected through the timer wheel after their sampled delay. Seeding
+   re-injected through the timers after their sampled delay. Seeding
    is per (netem_seed, self, peer) link, so a soak's fault pattern is
    reproducible per link even though wall-clock timing is not.
 
@@ -50,34 +44,18 @@ open Gmp_core
 module Platform = Gmp_platform.Platform
 module Stats = Gmp_platform.Stats
 module Netem = Gmp_net.Netem
+module Gbn = Gmp_net.Gbn
 module Endpoint = Gmp_net.Endpoint
 module Rng = Gmp_sim.Rng
 module Obs = Gmp_obs.Obs
 
-type out_entry = {
-  e_seq : int;
-  e_bytes : string; (* encoded frame *)
-  e_sent_at : float;
-  mutable e_clean : bool; (* never retransmitted: rtt-sampleable (Karn) *)
-}
-
 type out_chan = {
-  mutable next_seq : int;
-  mutable base : int; (* lowest unacked seq *)
-  unacked : out_entry Queue.t;
+  sender : string Gbn.sender; (* encoded frames *)
   mutable rtimer : Timers.entry option;
-  mutable cur_rto : float; (* current backoff value, in [rto, rto_max] *)
-  mutable quiet_rounds : int; (* retransmit rounds since last ack progress *)
+  mutable armed : float; (* the deadline [rtimer] fires at *)
 }
-
-type in_chan = { mutable next_expected : int }
 
 type counters = {
-  mutable data_frames_sent : int; (* first transmissions, not resends *)
-  mutable retransmissions : int; (* individual frames re-sent *)
-  mutable retransmit_rounds : int; (* retransmit-timer fires *)
-  mutable dups_suppressed : int; (* data below next_expected: seen before *)
-  mutable out_of_window_drops : int; (* data above next_expected (go-back-N) *)
   mutable netem_dropped : int;
   mutable netem_duplicated : int;
   mutable netem_reordered : int;
@@ -87,8 +65,9 @@ type t = {
   pid : Pid.t;
   transport : Transport.t;
   timers : Timers.t;
+  gbn : Gbn.t;
   out_chans : out_chan Pid.Tbl.t;
-  in_chans : in_chan Pid.Tbl.t;
+  in_chans : Gbn.receiver Pid.Tbl.t;
   mutable blackholed : Pid.Set.t; (* fault injection: drop their frames *)
   mutable disconnected : Pid.Set.t; (* S1: permanent incoming disconnect *)
   vc : Vector_clock.Mutable.clock; (* copy-on-write: snapshot to publish *)
@@ -99,8 +78,6 @@ type t = {
   last_now : float ref; (* monotonicity floor; shared with the transport *)
   ctr : counters;
   stats : Stats.t;
-  rto : float;
-  rto_max : float;
   (* netem: the node's default incoming-link model, per-peer overrides,
      and one seeded RNG stream per link (control frames get their own). *)
   mutable netem_default : Netem.t;
@@ -109,22 +86,17 @@ type t = {
   link_rngs : Rng.t Pid.Tbl.t;
   ctrl_rng : Rng.t;
   registry : Obs.registry;
-  h_rtt : Obs.histogram; (* clean-sample ack round-trips, wall seconds *)
-  h_backoff : Obs.histogram; (* retransmit rounds per recovered quiet spell *)
   log : string -> unit;
 }
 
 (* Canonical metric names — the one vocabulary shared by the registry,
    the JSONL summary lines and the orchestrator's reports. *)
-let counters t =
-  [ ("arq.data_frames_sent", t.ctr.data_frames_sent);
-    ("arq.retransmits", t.ctr.retransmissions);
-    ("arq.retransmit_rounds", t.ctr.retransmit_rounds);
-    ("arq.dups_suppressed", t.ctr.dups_suppressed);
-    ("arq.out_of_window_drops", t.ctr.out_of_window_drops);
-    ("netem.dropped", t.ctr.netem_dropped);
+let netem_counters t =
+  [ ("netem.dropped", t.ctr.netem_dropped);
     ("netem.duplicated", t.ctr.netem_duplicated);
     ("netem.reordered", t.ctr.netem_reordered) ]
+
+let counters t = Gbn.counters t.gbn @ netem_counters t
 
 let transport_counters t =
   List.map
@@ -137,13 +109,13 @@ let default_rto_max_factor = 16.0
 let create ?(peers = []) ?(transport = Transport.Udp) ?tcp_config
     ?(rto = default_rto) ?rto_max ?(netem = Netem.none) ?(netem_seed = 0)
     ?(log = fun _ -> ()) ~pid ~bind () =
-  if rto <= 0.0 then invalid_arg "Node.create: non-positive rto";
-  let rto_max =
-    match rto_max with
-    | None -> rto *. default_rto_max_factor
-    | Some v ->
-      if v < rto then invalid_arg "Node.create: rto_max below rto";
-      v
+  let registry = Obs.create () in
+  (* The unbounded window: the protocol never waits for room, so sends
+     are never held back behind a slow peer. *)
+  let gbn =
+    Gbn.create ~registry ~window:max_int ~rto
+      ~rto_max:(Option.value rto_max ~default:(rto *. default_rto_max_factor))
+      ()
   in
   (* The transport needs the clock before the node record exists, so the
      monotonicity floor lives in a ref both close over. *)
@@ -156,11 +128,11 @@ let create ?(peers = []) ?(transport = Transport.Udp) ?tcp_config
   let transport =
     Transport.make ?tcp_config ~kind:transport ~bind ~now ~log ()
   in
-  let registry = Obs.create () in
   let t =
     { pid;
       transport;
       timers = Timers.create ();
+      gbn;
       out_chans = Pid.Tbl.create 16;
       in_chans = Pid.Tbl.create 16;
       blackholed = Pid.Set.empty;
@@ -172,31 +144,21 @@ let create ?(peers = []) ?(transport = Transport.Udp) ?tcp_config
       receiver = (fun ~src:_ _ -> ());
       last_now;
       ctr =
-        { data_frames_sent = 0;
-          retransmissions = 0;
-          retransmit_rounds = 0;
-          dups_suppressed = 0;
-          out_of_window_drops = 0;
-          netem_dropped = 0;
+        { netem_dropped = 0;
           netem_duplicated = 0;
           netem_reordered = 0 };
       stats = Stats.create ();
-      rto;
-      rto_max;
       netem_default = netem;
       netem_overrides = Pid.Tbl.create 4;
       netem_seed;
       link_rngs = Pid.Tbl.create 16;
       ctrl_rng = Rng.create (Netem.link_seed ~seed:netem_seed ~self:pid ~peer:pid);
       registry;
-      h_rtt = Obs.histogram registry "arq.rtt";
-      h_backoff = Obs.histogram ~buckets:Obs.round_buckets registry
-          "arq.backoff_rounds";
       log }
   in
   (* The pre-existing counter families ride along as snapshot views; their
      keys are already canonical, so the empty prefix passes them through. *)
-  Obs.register_views registry ~prefix:"" (fun () -> counters t);
+  Obs.register_views registry ~prefix:"" (fun () -> netem_counters t);
   Obs.register_views registry ~prefix:"" (fun () -> transport_counters t);
   Stats.register_views t.stats registry;
   List.iter (fun (p, ep) -> t.transport.Transport.add_peer p ep) peers;
@@ -208,7 +170,7 @@ let port t = Endpoint.port (endpoint t)
 let stats t = t.stats
 let alive t = t.alive
 let stopping t = t.stopping
-let retransmissions t = t.ctr.retransmissions
+let retransmissions t = Gbn.retransmits t.gbn
 let clock t = Vector_clock.Mutable.snapshot t.vc
 let blackholed t = t.blackholed
 let netem t = t.netem_default
@@ -217,7 +179,7 @@ let registry t = t.registry
 let metrics t = Obs.snapshot t.registry
 
 let idle t =
-  Pid.Tbl.fold (fun _ c acc -> acc && Queue.is_empty c.unacked) t.out_chans true
+  Pid.Tbl.fold (fun _ c acc -> acc && Gbn.idle c.sender) t.out_chans true
 
 let set_netem t ?peer model =
   match peer with
@@ -242,108 +204,49 @@ let sendto t ~dst bytes = t.transport.Transport.send ~dst bytes
 
 (* ---- ARQ sender side ---- *)
 
-let out_chan t dst =
-  match Pid.Tbl.find_opt t.out_chans dst with
-  | Some c -> c
-  | None ->
-    let c =
-      { next_seq = 0;
-        base = 0;
-        unacked = Queue.create ();
-        rtimer = None;
-        cur_rto = t.rto;
-        quiet_rounds = 0 }
-    in
-    Pid.Tbl.replace t.out_chans dst c;
-    c
+let cancel_rtimer c = Option.iter Timers.cancel c.rtimer
 
-let cancel_rtimer c =
-  match c.rtimer with
-  | None -> ()
-  | Some e ->
-    Timers.cancel e;
-    c.rtimer <- None
-
-let rec arm_rtimer t dst c =
-  cancel_rtimer c;
-  if not (Queue.is_empty c.unacked) then
+(* Follow the core's deadline after every step that may have moved it. *)
+let rec sync t c =
+  let d = Gbn.deadline c.sender in
+  if d <> c.armed then begin
+    cancel_rtimer c;
+    c.armed <- d;
     c.rtimer <-
-      Some
-        (Timers.schedule t.timers
-           ~at:(now t +. c.cur_rto)
-           (fun () ->
-             c.rtimer <- None;
-             if t.alive && not (Queue.is_empty c.unacked) then begin
-               t.ctr.retransmit_rounds <- t.ctr.retransmit_rounds + 1;
-               c.quiet_rounds <- c.quiet_rounds + 1;
-               Queue.iter
-                 (fun e ->
-                   t.ctr.retransmissions <- t.ctr.retransmissions + 1;
-                   e.e_clean <- false;
-                   sendto t ~dst e.e_bytes)
-                 c.unacked;
-               (* No ack progress this round: back off (capped), so a dead
-                  or badly lossy link costs O(log) sends per quiet period,
-                  not one full-window storm every rto. *)
-               c.cur_rto <- Float.min (c.cur_rto *. 2.0) t.rto_max;
-               arm_rtimer t dst c
-             end))
+      (if d = infinity then None
+       else
+         Some
+           (Timers.schedule t.timers ~at:d (fun () ->
+                if t.alive then begin
+                  Gbn.on_timeout c.sender ~now:(now t);
+                  sync t c
+                end)))
+  end
 
 let transmit t ~dst msg =
-  let c = out_chan t dst in
-  let seq = c.next_seq in
-  c.next_seq <- seq + 1;
-  let bytes =
-    Codec.encode_frame
-      (Codec.Data
-         { src = t.pid;
-           chan_seq = seq;
-           vc = Vector_clock.Mutable.snapshot t.vc;
-           msg })
+  let c =
+    match Pid.Tbl.find_opt t.out_chans dst with
+    | Some c -> c
+    | None ->
+      let c =
+        { sender = Gbn.sender t.gbn ~emit:(sendto t ~dst);
+          rtimer = None;
+          armed = infinity }
+      in
+      Pid.Tbl.replace t.out_chans dst c;
+      c
   in
-  Queue.add
-    { e_seq = seq; e_bytes = bytes; e_sent_at = now t; e_clean = true }
-    c.unacked;
-  t.ctr.data_frames_sent <- t.ctr.data_frames_sent + 1;
-  sendto t ~dst bytes;
-  if c.rtimer = None then arm_rtimer t dst c
+  let vc = Vector_clock.Mutable.snapshot t.vc in
+  Gbn.send c.sender ~now:(now t) (fun chan_seq ->
+      Codec.encode_frame (Codec.Data { src = t.pid; chan_seq; vc; msg }));
+  sync t c
 
 let handle_ack t ~src ~ack_next =
   match Pid.Tbl.find_opt t.out_chans src with
   | None -> ()
   | Some c ->
-    while
-      (not (Queue.is_empty c.unacked))
-      && (Queue.peek c.unacked).e_seq < ack_next
-    do
-      let e = Queue.pop c.unacked in
-      (* Sample the ack round-trip only for frames never retransmitted:
-         after a retransmission the ack cannot be attributed to one flight
-         (Karn's rule). *)
-      if e.e_clean then Obs.observe t.h_rtt (now t -. e.e_sent_at)
-    done;
-    if ack_next > c.base then begin
-      (* Ack progress: the link is passing traffic again - reset the
-         backoff and re-arm from now, so recovery after a lossy spell is
-         prompt instead of waiting out a capped timeout. *)
-      c.base <- ack_next;
-      c.cur_rto <- t.rto;
-      if c.quiet_rounds > 0 then begin
-        Obs.observe t.h_backoff (float_of_int c.quiet_rounds);
-        c.quiet_rounds <- 0
-      end;
-      if Queue.is_empty c.unacked then cancel_rtimer c
-      else arm_rtimer t src c
-    end
-    else if Queue.is_empty c.unacked then cancel_rtimer c
-
-let teardown_to t dst =
-  (match Pid.Tbl.find_opt t.out_chans dst with
-  | None -> ()
-  | Some c ->
-    cancel_rtimer c;
-    Queue.clear c.unacked);
-  Pid.Tbl.remove t.out_chans dst
+    Gbn.on_ack c.sender ~now:(now t) ack_next;
+    sync t c
 
 (* ---- platform operations ---- *)
 
@@ -374,12 +277,13 @@ let broadcast t ~dsts ~category payload =
 let disconnect_from t ~from =
   (* S1: sever the incoming channel permanently. Also stop retransmitting
      toward the severed peer - it is being excluded; an unacked window
-     kept alive forever would spin the timer wheel for a corpse - and let
+     kept alive forever would spin the timers for a corpse - and let
      the transport tear down its route (a TCP stream to an excluded peer
      has nothing left to carry). *)
   t.disconnected <- Pid.Set.add from t.disconnected;
   Pid.Tbl.remove t.in_chans from;
-  teardown_to t from;
+  Option.iter cancel_rtimer (Pid.Tbl.find_opt t.out_chans from);
+  Pid.Tbl.remove t.out_chans from;
   t.transport.Transport.remove_peer from
 
 let halt t =
@@ -428,14 +332,6 @@ let platform t =
 
 (* ---- ARQ receiver side / frame dispatch ---- *)
 
-let in_chan t src =
-  match Pid.Tbl.find_opt t.in_chans src with
-  | Some c -> c
-  | None ->
-    let c = { next_expected = 0 } in
-    Pid.Tbl.replace t.in_chans src c;
-    c
-
 let send_ack t ~dst ~ack_next =
   sendto t ~dst (Codec.encode_frame (Codec.Ack { src = t.pid; ack_next }))
 
@@ -444,22 +340,23 @@ let handle_data t ~(origin : Transport.origin) ~src ~chan_seq ~sender_vc msg =
      themselves, no static address book required. The transport keeps
      configured routes authoritative and only fills gaps. *)
   origin.learn src;
-  let c = in_chan t src in
-  if chan_seq = c.next_expected then begin
-    c.next_expected <- chan_seq + 1;
-    send_ack t ~dst:src ~ack_next:c.next_expected;
+  let r =
+    match Pid.Tbl.find_opt t.in_chans src with
+    | Some r -> r
+    | None ->
+      let r = Gbn.receiver t.gbn in
+      Pid.Tbl.replace t.in_chans src r;
+      r
+  in
+  let fresh = Gbn.accept r chan_seq in
+  (* Always ack, duplicates included, so the sender's window can advance
+     past a lost ack. *)
+  send_ack t ~dst:src ~ack_next:(Gbn.ack r);
+  if fresh then begin
     Vector_clock.Mutable.merge_tick t.vc sender_vc t.pid;
     t.events <- t.events + 1;
     Stats.record_delivered t.stats ~category:(Wire.category_id msg);
     t.receiver ~src msg
-  end
-  else begin
-    (* Duplicate or out-of-order: no delivery, but always re-ack so the
-       sender's window can advance past a lost ack. *)
-    if chan_seq < c.next_expected then
-      t.ctr.dups_suppressed <- t.ctr.dups_suppressed + 1
-    else t.ctr.out_of_window_drops <- t.ctr.out_of_window_drops + 1;
-    send_ack t ~dst:src ~ack_next:c.next_expected
   end
 
 let apply_ctrl t = function
@@ -538,7 +435,7 @@ let ingress t ~(origin : Transport.origin) frame =
      reassembled a complete frame, so both transports face identical
      weather: over TCP, a dropped frame is resurrected by the ARQ's
      retransmission, never by the kernel. Surviving copies re-enter the
-     poll loop through the timer wheel after their sampled delay;
+     poll loop through the timers after their sampled delay;
      independent per-copy delays plus the explicit hold give real
      reordering. *)
   let model, rng =

@@ -5,11 +5,13 @@
     and a single-threaded poll loop; protocol callbacks (message
     delivery, timers) run only inside {!run}, never concurrently — the
     concurrency model the protocol core was written against. Reliable
-    FIFO channels between nodes come from a go-back-N ARQ (sequence
+    FIFO channels between nodes come from {!Gmp_net.Gbn}, the go-back-N
+    state machine the simulator's {!Gmp_net.Arq} also runs (sequence
     numbers + cumulative acks + retransmission on an exponentially
-    backed-off timeout), the paper's footnote-2 channel realized over a
-    medium that can genuinely lose frames on either transport — not least
-    because the node injects faults against itself: a seeded per-link
+    backed-off timeout), here with an unbounded window: the paper's
+    footnote-2 channel realized over a medium that can genuinely lose
+    frames on either transport — not least because the node injects
+    faults against itself: a seeded per-link
     {!Gmp_net.Netem} model applied to every frame at message ingress
     (after transport reassembly, before the protocol), the same fault
     vocabulary the simulator's lossy medium samples. *)

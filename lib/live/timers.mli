@@ -1,9 +1,9 @@
-(** Wall-clock timer wheel for the live poll loop.
+(** Wall-clock timers for the live poll loop.
 
-    A lazy-deletion binary min-heap: cancellation marks the entry dead and
-    the heap discards it when it reaches the top. All callbacks run on the
-    loop thread (inside {!fire_due}); nothing here is thread-safe, and
-    nothing needs to be. *)
+    Entries sit in the simulator's {!Gmp_sim.Event_queue}; cancellation
+    marks an entry dead and it is discarded when it reaches the top. All
+    callbacks run on the loop thread (inside {!fire_due}); nothing here is
+    thread-safe, and nothing needs to be. *)
 
 type t
 type entry
@@ -11,8 +11,8 @@ type entry
 val create : unit -> t
 
 val schedule : t -> at:float -> (unit -> unit) -> entry
-(** Absolute deadline on the caller's clock. Entries with equal deadlines
-    fire in scheduling order. *)
+(** Absolute deadline on the caller's clock (non-negative, not NaN).
+    Entries with equal deadlines fire in scheduling order. *)
 
 val cancel : entry -> unit
 (** Idempotent; cancelling a fired entry is a no-op. *)

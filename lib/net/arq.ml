@@ -1,190 +1,134 @@
-(* The paper's footnoted channel implementation: reliable FIFO over a lossy
-   medium via "a (1-bit) sequence number on each message and an
-   acknowledgement protocol" - i.e. the alternating-bit / stop-and-wait
-   protocol, one instance per ordered process pair.
+(* The paper's footnoted channel in the simulator: "a (1-bit) sequence
+   number on each message and an acknowledgement protocol", one instance
+   per ordered process pair, over the lossy medium.
 
-   Sender side (per channel): a FIFO backlog; at most one datagram
-   outstanding, stamped with the current bit, retransmitted every [rto]
-   until the matching ack arrives; then the bit flips and the next message
-   goes out. Receiver side (per channel): the expected bit; a matching data
-   datagram is delivered upward and the bit flips; any data datagram is
-   acked with its own bit (so lost acks get regenerated).
-
-   Delivered exactly once, in order, to the upper layer - precisely the
-   channel the model assumes. *)
+   The protocol is Gbn's, at window 1 with sequence numbers mod 2 - the
+   alternating-bit protocol - and no backoff ([rto_max = rto]). This shell
+   only carries Gbn's frames over Lossy and keeps one engine timer per
+   sender channel on the core's deadline. *)
 
 open Gmp_base
+module Engine = Gmp_sim.Engine
 
 type 'm frame =
-  | Data of { bit : bool; payload : 'm }
-  | Ack of { bit : bool }
+  | Data of { seq : int; payload : 'm }
+  | Ack of int
 
-type 'm sender = {
-  mutable send_bit : bool;
-  backlog : 'm Queue.t;
-  mutable outstanding : 'm option;
-  mutable timer : Gmp_sim.Engine.handle option;
-  mutable since : float; (* when the outstanding datagram first went out *)
-  mutable clean : bool; (* no retransmission since [since] (Karn's rule) *)
+type 'm channel = {
+  sender : 'm frame Gbn.sender;
+  mutable timer : Engine.handle option;
+  mutable armed : float; (* the deadline [timer] fires at *)
 }
 
-type 'm receiver = { mutable expect_bit : bool }
-
 type 'm t = {
-  engine : Gmp_sim.Engine.t;
+  engine : Engine.t;
   lossy : 'm frame Lossy.t;
-  rto : float;
-  rto_of : (src:Pid.t -> dst:Pid.t -> float option) option;
-      (* per-channel override, consulted at each (re)transmission; the
-         sender's pid picks the value, so a member's Config.tuning maps
-         straight onto its outgoing channels *)
-  senders : (Pid.t * Pid.t, 'm sender) Hashtbl.t; (* keyed (src,dst) *)
-  receivers : (Pid.t * Pid.t, 'm receiver) Hashtbl.t; (* keyed (src,dst) *)
+  gbn : Gbn.t;
+  senders : (Pid.t * Pid.t, 'm channel) Hashtbl.t; (* keyed (src,dst) *)
+  receivers : (Pid.t * Pid.t, Gbn.receiver) Hashtbl.t; (* keyed (src,dst) *)
   mutable handler : dst:Pid.t -> src:Pid.t -> 'm -> unit;
-  mutable retransmissions : int;
-  rtt : Gmp_obs.Obs.histogram option;
-      (* ack round-trips for never-retransmitted datagrams only: a sample
-         spanning a retransmission is ambiguous (Karn's rule) *)
 }
 
 let set_handler t handler = t.handler <- handler
 
-let retransmissions t = t.retransmissions
+let retransmissions t = Gbn.retransmits t.gbn
 let datagrams_sent t = Lossy.datagrams_sent t.lossy
 let datagrams_lost t = Lossy.datagrams_lost t.lossy
 
-let sender_for t key =
-  match Hashtbl.find_opt t.senders key with
-  | Some s -> s
-  | None ->
-    let s =
-      { send_bit = false;
-        backlog = Queue.create ();
-        outstanding = None;
-        timer = None;
-        since = 0.0;
-        clean = false }
-    in
-    Hashtbl.replace t.senders key s;
-    s
-
-let receiver_for t key =
-  match Hashtbl.find_opt t.receivers key with
-  | Some r -> r
-  | None ->
-    let r = { expect_bit = false } in
-    Hashtbl.replace t.receivers key r;
-    r
-
-let cancel_timer t s =
-  match s.timer with
-  | None -> ()
-  | Some h ->
-    Gmp_sim.Engine.cancel t.engine h;
-    s.timer <- None
-
-let rto_for t ~src ~dst =
-  match t.rto_of with
-  | None -> t.rto
-  | Some f -> (match f ~src ~dst with Some v -> v | None -> t.rto)
-
-let rec transmit t ~src ~dst s =
-  match s.outstanding with
-  | None -> ()
-  | Some payload ->
-    Lossy.send t.lossy ~src ~dst (Data { bit = s.send_bit; payload });
-    cancel_timer t s;
-    s.timer <-
-      Some
-        (Gmp_sim.Engine.schedule t.engine ~delay:(rto_for t ~src ~dst)
-           (fun () ->
-             (* Timeout: the datagram or its ack was lost; go again. *)
-             t.retransmissions <- t.retransmissions + 1;
-             s.clean <- false;
-             transmit t ~src ~dst s))
-
-let pump t ~src ~dst s =
-  if s.outstanding = None && not (Queue.is_empty s.backlog) then begin
-    s.outstanding <- Some (Queue.pop s.backlog);
-    s.since <- Gmp_sim.Engine.now t.engine;
-    s.clean <- true;
-    transmit t ~src ~dst s
+(* Follow the core's deadline after every step that may have moved it. *)
+let rec sync t c =
+  let d = Gbn.deadline c.sender in
+  if d <> c.armed then begin
+    Option.iter (Engine.cancel t.engine) c.timer;
+    c.armed <- d;
+    c.timer <-
+      (if d = infinity then None
+       else
+         Some
+           (Engine.schedule_at t.engine ~time:d (fun () ->
+                Gbn.on_timeout c.sender ~now:(Engine.now t.engine);
+                sync t c)))
   end
 
 let send t ~src ~dst payload =
   if Pid.equal src dst then invalid_arg "Arq.send: src = dst";
-  let s = sender_for t (src, dst) in
-  Queue.add payload s.backlog;
-  pump t ~src ~dst s
+  let c =
+    match Hashtbl.find_opt t.senders (src, dst) with
+    | Some c -> c
+    | None ->
+      let c =
+        { sender = Gbn.sender t.gbn ~emit:(Lossy.send t.lossy ~src ~dst);
+          timer = None;
+          armed = infinity }
+      in
+      Hashtbl.replace t.senders (src, dst) c;
+      c
+  in
+  Gbn.send c.sender ~now:(Engine.now t.engine) (fun seq ->
+      Data { seq; payload });
+  sync t c
 
 let handle_frame t ~dst ~src frame =
   match frame with
-  | Data { bit; payload } ->
+  | Data { seq; payload } ->
+    let r =
+      match Hashtbl.find_opt t.receivers (src, dst) with
+      | Some r -> r
+      | None ->
+        let r = Gbn.receiver t.gbn in
+        Hashtbl.replace t.receivers (src, dst) r;
+        r
+    in
+    let fresh = Gbn.accept r seq in
     (* Always ack what arrived - a lost ack must be regenerated by the
        retransmitted data. *)
-    Lossy.send t.lossy ~src:dst ~dst:src (Ack { bit });
-    let r = receiver_for t (src, dst) in
-    if bit = r.expect_bit then begin
-      r.expect_bit <- not r.expect_bit;
-      t.handler ~dst ~src payload
-    end
-    (* else: duplicate of an already-delivered datagram; ack was enough *)
-  | Ack { bit } ->
-    (* The ack travels dst->src, so the sender state is keyed by the
-       reversed pair. *)
-    let s = sender_for t (dst, src) in
-    if s.outstanding <> None && bit = s.send_bit then begin
-      (match t.rtt with
-      | Some h when s.clean ->
-        Gmp_obs.Obs.observe h (Gmp_sim.Engine.now t.engine -. s.since)
-      | _ -> ());
-      s.outstanding <- None;
-      s.send_bit <- not s.send_bit;
-      cancel_timer t s;
-      pump t ~src:dst ~dst:src s
-    end
+    Lossy.send t.lossy ~src:dst ~dst:src (Ack (Gbn.ack r));
+    if fresh then t.handler ~dst ~src payload
+  | Ack next ->
+    (* The ack travels dst->src, so the sender is keyed by the reversed
+       pair. *)
+    (match Hashtbl.find_opt t.senders (dst, src) with
+    | None -> ()
+    | Some c ->
+      Gbn.on_ack c.sender ~now:(Engine.now t.engine) next;
+      sync t c)
 
 (* Channel teardown, driven by suspicion or crash of the destination: stop
-   the retransmit loop and drop unsent traffic. Without this the
-   stop-and-wait sender retries forever toward a peer that will never ack -
-   the event queue never drains and virtual time grinds through useless
-   timeouts. Tearing down only touches existing sender state; it never
-   creates a channel. *)
+   the retransmit loop and drop unsent traffic. Without this the sender
+   retries forever toward a peer that will never ack - the event queue
+   never drains. Tearing down never creates a channel. *)
 let teardown t ~src ~dst =
   match Hashtbl.find_opt t.senders (src, dst) with
   | None -> ()
-  | Some s ->
-    cancel_timer t s;
-    s.outstanding <- None;
-    Queue.clear s.backlog
+  | Some c ->
+    Gbn.teardown c.sender;
+    sync t c
 
 let teardown_to t dst =
   Hashtbl.iter
     (fun (src, d) _ -> if Pid.equal d dst then teardown t ~src ~dst)
     t.senders
 
-let create ?(loss = 0.2) ?(duplicate = 0.05) ?(rto = 5.0) ?rto_of
-    ?(fifo = true) ?registry ~engine ~rng ~delay () =
-  if rto <= 0.0 then invalid_arg "Arq.create: rto must be positive";
-  let lossy = Lossy.create ~loss ~duplicate ~fifo ~engine ~rng ~delay () in
+let create ?(loss = 0.2) ?(duplicate = 0.05) ?(rto = 5.0) ?(fifo = true)
+    ?registry ~engine ~rng ~delay () =
+  let gbn = Gbn.create ?registry ~modulus:2 ~window:1 ~rto ~rto_max:rto () in
+  let lossy =
+    Lossy.of_model ~fifo ~engine ~rng (Netem.make ~loss ~duplicate ~delay ())
+  in
   let t =
     { engine;
       lossy;
-      rto;
-      rto_of;
+      gbn;
       senders = Hashtbl.create 32;
       receivers = Hashtbl.create 32;
-      handler = (fun ~dst:_ ~src:_ _ -> failwith "Arq: no handler");
-      retransmissions = 0;
-      rtt = Option.map (fun r -> Gmp_obs.Obs.histogram r "arq.rtt") registry }
+      handler = (fun ~dst:_ ~src:_ _ -> failwith "Arq: no handler") }
   in
-  (match registry with
-  | None -> ()
-  | Some r ->
-    Gmp_obs.Obs.register_view r "arq.datagrams_sent" (fun () ->
-        datagrams_sent t);
-    Gmp_obs.Obs.register_view r "arq.datagrams_lost" (fun () ->
-        datagrams_lost t);
-    Gmp_obs.Obs.register_view r "arq.retransmits" (fun () -> t.retransmissions));
+  Option.iter
+    (fun r ->
+      Gmp_obs.Obs.register_view r "arq.datagrams_sent" (fun () ->
+          datagrams_sent t);
+      Gmp_obs.Obs.register_view r "arq.datagrams_lost" (fun () ->
+          datagrams_lost t))
+    registry;
   Lossy.set_handler lossy (fun ~dst ~src frame -> handle_frame t ~dst ~src frame);
   t

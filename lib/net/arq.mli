@@ -1,7 +1,9 @@
 (** The paper's footnoted channel implementation: reliable FIFO over a
     lossy medium via "a (1-bit) sequence number on each message and an
     acknowledgement protocol" — the alternating-bit / stop-and-wait
-    protocol, one instance per ordered process pair.
+    protocol, one instance per ordered process pair. The protocol is
+    {!Gbn}'s at window 1 with sequence numbers mod 2 and a fixed timeout;
+    this module carries its frames over {!Lossy} on engine timers.
 
     Messages handed to {!send} reach the upper layer exactly once, in
     order, despite loss and duplication underneath — provided the medium
@@ -18,7 +20,6 @@ val create :
   ?loss:float ->
   ?duplicate:float ->
   ?rto:float ->
-  ?rto_of:(src:Pid.t -> dst:Pid.t -> float option) ->
   ?fifo:bool ->
   ?registry:Gmp_obs.Obs.registry ->
   engine:Gmp_sim.Engine.t ->
@@ -27,16 +28,13 @@ val create :
   unit ->
   'm t
 (** Defaults: 20% loss, 5% duplication, retransmit every 5 time units.
-    [rto_of] overrides the retransmission timeout per ordered channel; it
-    is consulted at every (re)transmission and falls back to [rto] on
-    [None]. Keyed by the {e sender}, so a member's [Config.tuning]
-    ([arq_rto]) maps directly onto its outgoing channels.
 
-    With [registry], the channel layer publishes [arq.datagrams_sent],
-    [arq.datagrams_lost] and [arq.retransmits] as snapshot views, and
-    records virtual-clock ack round-trips into an [arq.rtt] histogram —
-    sampling only datagrams never retransmitted (Karn's rule), since a
-    sample spanning a retransmission cannot be attributed to one flight. *)
+    With [registry], the channel layer publishes [arq.datagrams_sent] and
+    [arq.datagrams_lost] (acks included) beside {!Gbn.counters} as
+    snapshot views, and records virtual-clock ack round-trips into the
+    [arq.rtt] histogram — sampling only datagrams never retransmitted
+    (Karn's rule), since a sample spanning a retransmission cannot be
+    attributed to one flight. *)
 
 val set_handler : 'm t -> (dst:Pid.t -> src:Pid.t -> 'm -> unit) -> unit
 (** Upper-layer delivery: exactly once, per-channel FIFO. *)

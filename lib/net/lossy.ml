@@ -5,10 +5,10 @@
    The paper's model assumes reliable FIFO channels and notes they are
    "easily implemented: a (1-bit) sequence number on each message and an
    acknowledgement protocol". This module is the hostile medium underneath
-   that footnote; Arq builds the assumed channel on top of it. The 1-bit
-   protocol is sound over lossy-duplicating FIFO links; over arbitrarily
-   reordering links it provably is not (stale frames can cross two bit
-   flips) - the test suite demonstrates both.
+   that footnote; Arq runs the Gbn channel core over it at window 1 with
+   one-bit sequence numbers. That protocol is sound over lossy-duplicating
+   FIFO links; over arbitrarily reordering links it provably is not (stale
+   frames can cross two bit flips) - the test suite demonstrates both.
 
    Every per-datagram fate (drop / delay / duplicate / hold-for-reorder)
    comes from one [Netem.sample] call: the identical decision function the
@@ -41,10 +41,6 @@ let of_model ?(fifo = true) ~engine ~rng model =
     lost = 0;
     duplicated = 0;
     reordered = 0 }
-
-let create ?(loss = 0.0) ?(duplicate = 0.0) ?(reorder = 0.0) ?(fifo = true)
-    ~engine ~rng ~delay () =
-  of_model ~fifo ~engine ~rng (Netem.make ~loss ~duplicate ~reorder ~delay ())
 
 let set_handler t handler = t.handler <- handler
 

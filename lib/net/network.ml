@@ -19,6 +19,7 @@
      resumes in order if the partition heals (channels stay reliable). *)
 
 open Gmp_base
+module Stats = Gmp_platform.Stats
 
 type 'm t = {
   engine : Gmp_sim.Engine.t;

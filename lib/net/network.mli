@@ -14,7 +14,7 @@ type 'm t
 type 'm send_record = {
   record_src : Pid.t;
   record_dst : Pid.t;
-  record_category : Stats.category;
+  record_category : Gmp_platform.Stats.category;
   record_payload : 'm;
   record_time : float;
 }
@@ -40,7 +40,7 @@ val send :
   'm t ->
   src:Pid.t ->
   dst:Pid.t ->
-  category:Stats.category ->
+  category:Gmp_platform.Stats.category ->
   'm ->
   unit
 (** Sends from crashed processes are ignored; [extra_delay] adds to the
@@ -82,7 +82,7 @@ val fingerprint : 'm t -> int
     state: crash flags, disconnections, partition assignment, and parked
     queue lengths per channel. Used by the explorer's state pruning. *)
 
-val stats : 'm t -> Stats.t
+val stats : 'm t -> Gmp_platform.Stats.t
 val engine : 'm t -> Gmp_sim.Engine.t
 
 type 'm checkpoint

@@ -1,6 +1,5 @@
-(* Re-export: the category registry and counters moved to [Gmp_platform]
-   so the protocol core (which tags every send with a category) does not
-   depend on the simulated network. Existing [Gmp_net.Stats] users are
-   unaffected. *)
+(* Re-export of [Gmp_platform.Stats] under its old path, for the benchmark
+   sources under gmpbench/ only; everything else names [Gmp_platform.Stats]
+   directly. *)
 
 include Gmp_platform.Stats

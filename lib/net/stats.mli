@@ -1,6 +1,5 @@
-(** Alias of {!Gmp_platform.Stats} (the implementation moved there so the
-    protocol core can tag sends without depending on the simulated
-    network); kept here so network-layer users keep their module path. *)
+(** Alias of {!Gmp_platform.Stats}, kept for the benchmark sources under
+    [gmpbench/]; new code should name [Gmp_platform.Stats]. *)
 
 include module type of struct
   include Gmp_platform.Stats

@@ -31,7 +31,7 @@ let create ?(config = Config.default) ?delay ?(seed = 1) ~n () =
       Pid.Map.empty initial
   in
   let registry = Gmp_obs.Obs.create () in
-  Gmp_net.Stats.register_views (Runtime.stats runtime) registry;
+  Gmp_platform.Stats.register_views (Runtime.stats runtime) registry;
   let eng = Runtime.engine runtime in
   Gmp_obs.Obs.register_view registry "sim.events_fired" (fun () ->
       Gmp_sim.Engine.fired_events eng);
@@ -143,7 +143,7 @@ let agreed_view t =
 let protocol_messages t =
   let stats = stats t in
   List.fold_left
-    (fun acc category -> acc + Gmp_net.Stats.sent stats ~category)
+    (fun acc category -> acc + Gmp_platform.Stats.sent stats ~category)
     0 Wire.protocol_categories
 
 (* Combined protocol + network fingerprint over all members, in pid order.

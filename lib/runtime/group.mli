@@ -25,7 +25,7 @@ val engine : t -> Gmp_sim.Engine.t
     fingerprinting by the explorer). *)
 val network : t -> Wire.t Runtime.wrapped Gmp_net.Network.t
 val trace : t -> Trace.t
-val stats : t -> Gmp_net.Stats.t
+val stats : t -> Gmp_platform.Stats.t
 val initial : t -> Pid.t list
 val pids : t -> Pid.t list
 val member : t -> Pid.t -> Member.t

@@ -18,7 +18,7 @@ val create : ?delay:Gmp_net.Delay.t -> seed:int -> unit -> 'm t
 
 val engine : 'm t -> Gmp_sim.Engine.t
 val network : 'm t -> 'm wrapped Gmp_net.Network.t
-val stats : 'm t -> Gmp_net.Stats.t
+val stats : 'm t -> Gmp_platform.Stats.t
 val rng : 'm t -> Gmp_sim.Rng.t
 val now : 'm t -> float
 
@@ -47,14 +47,19 @@ val local_event : 'm node -> int * Vector_clock.t
 (** Record a local step; returns the new [(history index, vector clock)]. *)
 
 val send :
-  ?extra_delay:float -> 'm node -> dst:Pid.t -> category:Gmp_net.Stats.category -> 'm -> unit
+  ?extra_delay:float ->
+  'm node ->
+  dst:Pid.t ->
+  category:Gmp_platform.Stats.category ->
+  'm ->
+  unit
 (** No-op if the node is dead (crashed processes influence nobody). *)
 
 val broadcast :
   ?extra_delay:float ->
   'm node ->
   dsts:Pid.t list ->
-  category:Gmp_net.Stats.category ->
+  category:Gmp_platform.Stats.category ->
   'm ->
   unit
 (** The paper's [Bcast]: indivisible (single instant, one vc tick, self

@@ -19,7 +19,7 @@ type measurement = {
 
 let count stats categories =
   List.fold_left
-    (fun acc category -> acc + Gmp_net.Stats.sent stats ~category)
+    (fun acc category -> acc + Gmp_platform.Stats.sent stats ~category)
     0 categories
 
 let measure ?(liveness = true) group =

@@ -27,7 +27,8 @@ let test_lossy_drops () =
   let engine = Gmp_sim.Engine.create () in
   let rng = Gmp_sim.Rng.create 3 in
   let lossy =
-    Lossy.create ~loss:0.5 ~engine ~rng ~delay:(Delay.constant 1.0) ()
+    Lossy.of_model ~engine ~rng
+      (Netem.make ~loss:0.5 ~delay:(Delay.constant 1.0) ())
   in
   let received = ref 0 in
   Lossy.set_handler lossy (fun ~dst:_ ~src:_ () -> incr received);
@@ -43,7 +44,8 @@ let test_lossy_duplicates () =
   let engine = Gmp_sim.Engine.create () in
   let rng = Gmp_sim.Rng.create 4 in
   let lossy =
-    Lossy.create ~duplicate:1.0 ~engine ~rng ~delay:(Delay.constant 1.0) ()
+    Lossy.of_model ~engine ~rng
+      (Netem.make ~duplicate:1.0 ~delay:(Delay.constant 1.0) ())
   in
   let received = ref 0 in
   Lossy.set_handler lossy (fun ~dst:_ ~src:_ () -> incr received);
@@ -57,9 +59,8 @@ let test_lossy_reorders () =
   let engine = Gmp_sim.Engine.create () in
   let rng = Gmp_sim.Rng.create 5 in
   let lossy =
-    Lossy.create ~fifo:false ~engine ~rng
-      ~delay:(Delay.uniform ~lo:0.1 ~hi:10.0)
-      ()
+    Lossy.of_model ~fifo:false ~engine ~rng
+      (Netem.make ~delay:(Delay.uniform ~lo:0.1 ~hi:10.0) ())
   in
   let received = ref [] in
   Lossy.set_handler lossy (fun ~dst:_ ~src:_ i -> received := i :: !received);
@@ -74,7 +75,8 @@ let test_lossy_fifo_by_default () =
   let engine = Gmp_sim.Engine.create () in
   let rng = Gmp_sim.Rng.create 6 in
   let lossy =
-    Lossy.create ~engine ~rng ~delay:(Delay.uniform ~lo:0.1 ~hi:10.0) ()
+    Lossy.of_model ~engine ~rng
+      (Netem.make ~delay:(Delay.uniform ~lo:0.1 ~hi:10.0) ())
   in
   let received = ref [] in
   Lossy.set_handler lossy (fun ~dst:_ ~src:_ i -> received := i :: !received);

@@ -126,7 +126,8 @@ let test_runtime_vc_integration () =
   let vc_at_receive = ref Vector_clock.empty in
   Gmp_runtime.Runtime.set_receiver b (fun ~src:_ () ->
       vc_at_receive := Gmp_runtime.Runtime.clock b);
-  Gmp_runtime.Runtime.send a ~dst:p1 ~category:(Gmp_net.Stats.intern "t") ();
+  Gmp_runtime.Runtime.send a ~dst:p1
+    ~category:(Gmp_platform.Stats.intern "t") ();
   let vc_after_send = Gmp_runtime.Runtime.clock a in
   Gmp_runtime.Runtime.run runtime;
   check bool "send happened-before receive" true

@@ -12,6 +12,7 @@
 
 open Gmp_base
 open Gmp_net
+module Stats = Gmp_platform.Stats
 
 let run_once () =
   let m, group = Gmp_workload.Scenario.scale_single_crash ~n:16 () in

@@ -5,6 +5,7 @@ let () =
     [ ("sim", Test_sim.suite);
       ("net", Test_net.suite);
       ("arq", Test_arq.suite);
+      ("gbn", Test_gbn.suite);
       ("causality", Test_causality.suite);
       ("runtime", Test_runtime.suite);
       ("misc", Test_misc.suite);

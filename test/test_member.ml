@@ -84,8 +84,8 @@ let test_two_crashes_compressed () =
      commits. *)
   let stats = Group.stats group in
   check bool "compression engaged" true
-    (Gmp_net.Stats.sent stats ~category:"invite"
-     < Gmp_net.Stats.sent stats ~category:"commit")
+    (Gmp_platform.Stats.sent stats ~category:"invite"
+     < Gmp_platform.Stats.sent stats ~category:"commit")
 
 let test_uncompressed_config () =
   let config = Config.uncompressed in
@@ -97,7 +97,7 @@ let test_uncompressed_config () =
   let stats = Group.stats group in
   (* Without compression every change has its own invitation broadcast. *)
   check int "two invite broadcasts" (7 + 6)
-    (Gmp_net.Stats.sent stats ~category:"invite")
+    (Gmp_platform.Stats.sent stats ~category:"invite")
 
 let test_majority_loss_blocks () =
   (* The final algorithm cannot commit without a majority: crash 3 of 5

@@ -224,7 +224,7 @@ let test_join_retry_starts_at_first_contact () =
   Gmp_net.Network.set_monitor (Group.network group) (fun r ->
       if
         String.equal
-          (Gmp_net.Stats.name r.Gmp_net.Network.record_category)
+          (Gmp_platform.Stats.name r.Gmp_net.Network.record_category)
           "join-request"
       then requests := Pid.id r.Gmp_net.Network.record_dst :: !requests);
   Group.crash_at group 1.0 (p 1);

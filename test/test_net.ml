@@ -3,6 +3,7 @@
 
 open Gmp_base
 open Gmp_net
+module Stats = Gmp_platform.Stats
 
 let check = Alcotest.check
 let bool = Alcotest.bool

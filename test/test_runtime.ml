@@ -16,7 +16,7 @@ let test_spawn_and_send () =
   let b = Runtime.spawn rt (p 1) in
   let inbox = ref [] in
   Runtime.set_receiver b (fun ~src msg -> inbox := (src, msg) :: !inbox);
-  Runtime.send a ~dst:(p 1) ~category:(Gmp_net.Stats.intern "t") "hello";
+  Runtime.send a ~dst:(p 1) ~category:(Gmp_platform.Stats.intern "t") "hello";
   Runtime.run rt;
   (match !inbox with
    | [ (src, "hello") ] -> check bool "src" true (Pid.equal src (p 0))
@@ -31,17 +31,17 @@ let test_crash_semantics () =
   let received = ref 0 in
   Runtime.set_receiver b (fun ~src:_ _ -> incr received);
   (* In-flight message vanishes when the destination crashes. *)
-  Runtime.send a ~dst:(p 1) ~category:(Gmp_net.Stats.intern "t") ();
+  Runtime.send a ~dst:(p 1) ~category:(Gmp_platform.Stats.intern "t") ();
   Runtime.crash b;
   Runtime.run rt;
   check int "nothing delivered" 0 !received;
   check bool "not alive" false (Runtime.alive b);
   (* A crashed process cannot send. *)
   Runtime.crash a;
-  Runtime.send a ~dst:(p 1) ~category:(Gmp_net.Stats.intern "t") ();
+  Runtime.send a ~dst:(p 1) ~category:(Gmp_platform.Stats.intern "t") ();
   Runtime.run rt;
   check int "no sends from the dead" 0
-    (Gmp_net.Stats.sent (Runtime.stats rt) ~category:"t" - 1)
+    (Gmp_platform.Stats.sent (Runtime.stats rt) ~category:"t" - 1)
 
 let test_timers () =
   let rt = Runtime.create ~seed:3 () in
@@ -82,7 +82,8 @@ let test_broadcast_excludes_self () =
       Runtime.set_receiver node (fun ~src:_ () -> received := i :: !received))
     [ 1; 2; 3 ];
   Runtime.set_receiver a (fun ~src:_ () -> received := 0 :: !received);
-  Runtime.broadcast a ~dsts:[ p 0; p 1; p 2; p 3 ] ~category:(Gmp_net.Stats.intern "t") ();
+  Runtime.broadcast a ~dsts:[ p 0; p 1; p 2; p 3 ]
+    ~category:(Gmp_platform.Stats.intern "t") ();
   Runtime.run rt;
   check (Alcotest.list int) "everyone but self" [ 1; 2; 3 ]
     (List.sort Int.compare !received)

@@ -69,8 +69,8 @@ let test_deep_compressed_chain () =
    | None -> Alcotest.fail "no agreement");
   let stats = Group.stats group in
   check bool "chain compressed (fewer invites than commits)" true
-    (Gmp_net.Stats.sent stats ~category:"invite"
-     < Gmp_net.Stats.sent stats ~category:"commit")
+    (Gmp_platform.Stats.sent stats ~category:"invite"
+     < Gmp_platform.Stats.sent stats ~category:"commit")
 
 let test_many_joiners () =
   let group = Group.create ~seed:126 ~n:4 () in

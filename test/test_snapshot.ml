@@ -47,7 +47,7 @@ type observation = {
 let observe group =
   let engine = Group.engine group in
   { o_events = Trace.events (Group.trace group);
-    o_stats = Gmp_net.Stats.snapshot (Group.stats group);
+    o_stats = Gmp_platform.Stats.snapshot (Group.stats group);
     o_now = Engine.now engine;
     o_fired = Engine.fired_events engine;
     o_pending = Engine.pending_events engine;
